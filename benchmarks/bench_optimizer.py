@@ -25,11 +25,12 @@ import time
 
 from conftest import run_once
 
+from repro import settings
 from repro.bench.tables import render_rows
 from repro.datagen import generate_tpch, generate_workload
 from repro.datagen.tpch import generate_to_store
 from repro.relational import kernels
-from repro.sql import execute, use_optimize
+from repro.sql import execute
 from repro.storage.sqlbridge import ScanStats, query_store
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -115,7 +116,7 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
 
         for sql in sqls:
             optimized = query_store(store, sql)
-            with use_optimize("off"):
+            with settings.use(optimize="off"):
                 oracle = query_store(store, sql)
             assert optimized.rows == oracle.rows, sql
 
@@ -129,7 +130,7 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
                     if optimize == "on":
                         query_store(store, sql, scan_stats=stats)
                     else:
-                        with use_optimize("off"):
+                        with settings.use(optimize="off"):
                             query_store(store, sql)
                     total += time.perf_counter() - start
             return total

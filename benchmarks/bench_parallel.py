@@ -32,6 +32,7 @@ from typing import Any
 import pytest
 from conftest import run_once
 
+from repro import settings
 from repro.bench.tables import render_rows
 from repro.dc.engine import build_evidence_tiled, discover_dcs
 from repro.dc.predicates import build_predicate_space
@@ -88,7 +89,7 @@ def _run_workloads(bench_results):
 
     def measure(workload: str, fn, check, size: int, repeat: int = 3) -> None:
         serial_s, serial_result = _time(fn, repeat=repeat)
-        with parallel.use_workers(_WORKERS):
+        with settings.use(workers=_WORKERS):
             parallel_s, parallel_result = _time(fn, repeat=repeat)
         check(serial_result, parallel_result)
         totals["serial"] += serial_s

@@ -32,6 +32,7 @@ from typing import Any
 import pytest
 from conftest import run_once
 
+from repro import settings
 from repro.bench.tables import render_rows
 from repro.datagen.synthetic import random_relation
 from repro.relational import kernels
@@ -222,7 +223,7 @@ def test_python_backend_parity(benchmark, show, bench_results):
     skips dict materialization even without numpy) — informational
     timings plus a ≥1× floor so a regression cannot hide."""
     def run():
-        with kernels.use_backend("python"):
+        with settings.use(backend="python"):
             bulk = _bulk()
             totals = {"rowdict": 0.0, "columnar": 0.0}
             rows = []

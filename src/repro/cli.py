@@ -283,10 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.workers is not None:
-        from repro.relational import parallel
+        from repro import settings
 
         try:
-            parallel.set_workers(args.workers)
+            settings.set(workers=args.workers)
         except ValueError as error:
             parser.error(str(error))
     try:

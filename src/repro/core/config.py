@@ -18,62 +18,47 @@ paragraph of Section 4:
 * ``max_expansions`` — a safety budget on queue pops for benchmarking
   very wide relations; ``None`` means unbounded (paper behaviour).
 
-:class:`EngineConfig` is the engine-level companion: it selects the
-kernel backend (:mod:`repro.relational.kernels`) the relational hot
-paths run on — ``python`` (stdlib reference loops) or ``numpy``
-(vectorized, the ``[fast]`` extra).  The ``REPRO_BACKEND`` environment
-variable overrides the default resolution; an activated
-:class:`EngineConfig` overrides both.  ``approx`` selects the profiling
-estimator family the same way — ``"exact"`` kernels or the
-:mod:`repro.sketch` sketches (``$REPRO_APPROX``).
+:class:`EngineConfig` is the engine-level companion: a typed view over
+the process-wide knobs of :mod:`repro.settings` (kernel backend, cache
+bounds, DC tile, worker count, approx and optimize modes).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
-from repro.relational import kernels, statistics
+from repro import settings
+from repro.relational import kernels
 
 __all__ = ["EngineConfig", "GoodnessMode", "RepairConfig"]
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine-level settings: backend selection and cache bounds.
+    """Engine-level settings, one field per knob of :mod:`repro.settings`.
 
-    ``backend`` is ``"auto"`` (numpy when installed, else python),
-    ``"python"``, or ``"numpy"``.  ``partition_cache_size`` bounds the
-    per-relation stripped-partition LRU (generous by default: a
-    30-attribute discovery at LHS ≤ 3 caches ~4.5k sets and must not
-    thrash); ``delta_track_limit`` bounds how many attribute sets the
-    delta engine maintains incrementally per relation.  ``None`` means
-    unbounded.  ``dc_tile`` is the edge length (representative rows) of
-    the DC evidence engine's pair-space blocks — larger tiles amortize
-    kernel dispatch, smaller ones bound peak memory.  Construction only
-    validates; :meth:`activate` installs the choices process-wide
-    (backend via :func:`repro.relational.kernels.set_backend`, taking
-    precedence over the ``REPRO_BACKEND`` environment variable; cache
-    bounds via :func:`repro.relational.statistics.configure_caches`;
-    the tile via :func:`repro.dc.engine.set_tile`, taking precedence
-    over ``REPRO_DC_TILE``).  ``workers`` selects the morsel-driven
-    parallel layer's pool width (0 = serial, the byte-identical
-    oracle; 1 also runs inline; ≥ 2 fans work units across a process
-    pool on the numpy backend / a thread pool on the python backend),
-    installed via :func:`repro.relational.parallel.set_workers` and
-    taking precedence over ``REPRO_WORKERS``.  ``approx`` picks the
-    profiling estimator family for the out-of-core layer
-    (:mod:`repro.storage.profile`): ``"exact"`` (spill-merge kernels,
-    the default) or ``"sketch"`` (:mod:`repro.sketch` HyperLogLog +
-    seeded samples with stated error bounds), installed via
-    :func:`repro.sketch.set_approx` and taking precedence over
-    ``REPRO_APPROX``.  ``optimize`` switches the PR-10 query optimizer
-    (plan rewrites in :mod:`repro.sql.optimize` plus zone-map chunk
-    skipping in :mod:`repro.storage.sqlbridge`): ``"on"`` (the default)
-    or ``"off"`` (the unoptimized oracle path the equivalence suite
-    compares against), installed via
-    :func:`repro.sql.optimize.set_optimize` and taking precedence over
-    ``REPRO_OPTIMIZE``.
+    * ``backend`` — the kernel backend: ``"auto"`` (numpy when
+      installed, else python), ``"python"`` or ``"numpy"``;
+    * ``partition_cache_size`` / ``delta_track_limit`` — per-relation
+      bounds on cached stripped partitions and delta-maintained group
+      trackers; ``None`` means unbounded;
+    * ``dc_tile`` — the edge length (representative rows) of the DC
+      evidence engine's pair-space blocks: larger tiles amortize kernel
+      dispatch, smaller ones bound peak memory;
+    * ``workers`` — the morsel pool width: 0 is serial, the
+      byte-identical oracle; 1 also runs inline; 2 or more fans work
+      units across a process pool (numpy) or a thread pool (python);
+    * ``approx`` — the profiling estimators: ``"exact"`` kernels or
+      ``"sketch"`` (:mod:`repro.sketch`);
+    * ``optimize`` — the query optimizer and zone-map chunk skipping:
+      ``"on"``, or ``"off"``, the oracle the equivalence suite compares
+      against.
+
+    Construction validates each field with its knob's parser and keeps
+    the canonical spelling; :meth:`activate` installs every field as a
+    :mod:`repro.settings` override.
     """
 
     backend: str = "auto"
@@ -85,107 +70,31 @@ class EngineConfig:
     optimize: str = "on"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "python", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'python' or 'numpy', got {self.backend!r}"
-            )
-        if self.partition_cache_size is not None and self.partition_cache_size < 1:
-            raise ValueError("partition_cache_size must be >= 1 or None")
-        if self.delta_track_limit is not None and self.delta_track_limit < 1:
-            raise ValueError("delta_track_limit must be >= 1 or None")
-        if (
-            isinstance(self.dc_tile, bool)
-            or not isinstance(self.dc_tile, int)
-            or self.dc_tile < 1
-        ):
-            raise ValueError(
-                f"dc_tile must be a positive integer, got {self.dc_tile!r}"
-            )
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError(
-                f"workers must be a non-negative integer, got {self.workers!r}"
-            )
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be a non-negative integer, got {self.workers}"
-            )
-        if self.approx not in ("exact", "sketch"):
-            raise ValueError(
-                f"approx must be 'exact' or 'sketch', got {self.approx!r}"
-            )
-        if self.optimize not in ("on", "off"):
-            raise ValueError(
-                f"optimize must be 'on' or 'off', got {self.optimize!r}"
-            )
+        for name, value in self._knobs().items():
+            parsed = settings._parse(name, value, "EngineConfig")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, parsed)
+
+    def _knobs(self) -> dict[str, object]:
+        """The fields as settings; an unbounded cache is ``math.inf``."""
+        knobs = {field.name: getattr(self, field.name) for field in fields(self)}
+        for name in ("partition_cache_size", "delta_track_limit"):
+            if knobs[name] is None:
+                knobs[name] = math.inf
+        return knobs
 
     @classmethod
     def from_env(cls) -> "EngineConfig":
-        """Build a config from the ``REPRO_*`` environment knobs.
+        """The config the ``REPRO_*`` environment variables select.
 
-        Every knob is validated with the *same* message the constructor
-        raises (plus the variable it came from), so a typo in a service
-        unit file reads identically to a typo in code:
-
-        * ``REPRO_BACKEND``  → :attr:`backend`
-        * ``REPRO_DC_TILE``  → :attr:`dc_tile`
-        * ``REPRO_WORKERS``  → :attr:`workers`
-        * ``REPRO_APPROX``   → :attr:`approx`
-        * ``REPRO_OPTIMIZE`` → :attr:`optimize`
-
-        Unset variables keep the dataclass defaults.  Invalid values
-        raise :class:`ValueError` (or
-        :class:`~repro.relational.errors.KernelBackendError` for the
-        backend, its established type) immediately — misconfiguration
-        surfaces at startup, not at first use deep in a request.
+        Unset variables keep the defaults; an invalid value raises the
+        constructor's message naming the variable, so misconfiguration
+        surfaces at startup, not deep in a request.
         """
-        import os
-
-        from repro import sketch
-        from repro.dc import engine as dc_engine
-        from repro.relational import parallel
-        from repro.sql import optimize as sql_optimize
-
-        overrides: dict[str, object] = {}
-        backend = os.environ.get(kernels.BACKEND_ENV_VAR)
-        if backend:
-            overrides["backend"] = kernels._normalize(
-                backend, f"${kernels.BACKEND_ENV_VAR}"
-            )
-        tile = os.environ.get(dc_engine.TILE_ENV_VAR)
-        if tile:
-            try:
-                value = int(tile)
-            except ValueError:
-                raise ValueError(
-                    f"dc_tile must be a positive integer, got {tile!r} "
-                    f"(from ${dc_engine.TILE_ENV_VAR})"
-                ) from None
-            overrides["dc_tile"] = dc_engine._validate_tile(
-                value, f"${dc_engine.TILE_ENV_VAR}"
-            )
-        workers = os.environ.get(parallel.WORKERS_ENV_VAR)
-        if workers:
-            try:
-                value = int(workers)
-            except ValueError:
-                raise ValueError(
-                    f"workers must be a non-negative integer, got {workers!r} "
-                    f"(from ${parallel.WORKERS_ENV_VAR})"
-                ) from None
-            overrides["workers"] = parallel._validate_workers(
-                value, f"${parallel.WORKERS_ENV_VAR}"
-            )
-        approx = os.environ.get(sketch.APPROX_ENV_VAR)
-        if approx:
-            overrides["approx"] = sketch._normalize(
-                approx, f"${sketch.APPROX_ENV_VAR}"
-            )
-        optimize = os.environ.get(sql_optimize.OPTIMIZE_ENV_VAR)
-        if optimize:
-            overrides["optimize"] = sql_optimize._normalize(
-                optimize, f"${sql_optimize.OPTIMIZE_ENV_VAR}"
-            )
-        return cls(**overrides)
+        names = [field.name for field in fields(cls)]
+        with settings.use(**dict.fromkeys(names)):
+            values = settings.snapshot()
+        return cls(**{name: values[name] for name in names})
 
     def resolve(self) -> str:
         """The concrete backend name this config would run on."""
@@ -194,25 +103,8 @@ class EngineConfig:
         return self.backend
 
     def activate(self) -> None:
-        """Install this config's choices process-wide.
-
-        Raises :class:`~repro.relational.errors.KernelBackendError` if
-        ``numpy`` is requested but not installed.
-        """
-        from repro import sketch
-        from repro.dc import engine as dc_engine
-        from repro.relational import parallel
-        from repro.sql import optimize as sql_optimize
-
-        kernels.set_backend(self.backend)
-        statistics.configure_caches(
-            partition_cache_size=self.partition_cache_size,
-            delta_track_limit=self.delta_track_limit,
-        )
-        dc_engine.set_tile(self.dc_tile)
-        parallel.set_workers(self.workers)
-        sketch.set_approx(self.approx)
-        sql_optimize.set_optimize(self.optimize)
+        """Install this config's choices process-wide (as overrides)."""
+        settings.set(**self._knobs())
 
 
 class GoodnessMode(enum.Enum):

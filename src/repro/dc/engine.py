@@ -8,11 +8,11 @@ full O(m²) evidence construction even when it only needs to check a
 handful of candidate DCs.  This module removes both:
 
 * **Tiling** — the pair space is partitioned into fixed-size blocks
-  (``tile × tile`` representative rows, default 4096, the
-  ``REPRO_DC_TILE`` / :class:`repro.core.config.EngineConfig` knob) and
-  each block is evaluated fully vectorized through the active kernel
-  backend's ``evidence_sweep``.  Peak additional memory is bounded by
-  the block chunk plus the distinct-evidence map — never O(m²).
+  (``tile × tile`` representative rows, the ``dc_tile`` knob of
+  :mod:`repro.settings`) and each block is evaluated fully vectorized
+  through the active kernel backend's ``evidence_sweep``.  Peak
+  additional memory is bounded by the block chunk plus the
+  distinct-evidence map — never O(m²).
 * **Multi-word masks** — the block kernels carry evidence bits in
   62-bit words (``EVIDENCE_WORD_BITS``), so predicate spaces of any
   width vectorize; the pure-Python backend's native bignums are its
@@ -38,12 +38,10 @@ handful of candidate DCs.  This module removes both:
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
+from repro import settings
 from repro.relational import kernels, parallel
 from repro.relational.errors import validate_engine
 from repro.relational.relation import Relation
@@ -64,29 +62,19 @@ from .search import DCDiscoveryResult, mine_denial_constraints
 __all__ = [
     "DEFAULT_SAMPLE_PAIRS",
     "DEFAULT_TILE",
-    "TILE_ENV_VAR",
     "build_evidence_tiled",
     "dc_violating_pairs",
     "discover_dcs",
-    "effective_tile",
-    "set_tile",
-    "use_tile",
 ]
 
 #: Default edge length of a pair-space block, in representative rows.
 DEFAULT_TILE = 4096
-
-#: Environment variable overriding the default tile size.
-TILE_ENV_VAR = "REPRO_DC_TILE"
 
 #: Default representative-pair budget of the sample-then-verify loop.
 DEFAULT_SAMPLE_PAIRS = 50_000
 
 #: How many violating pairs feed back per failed candidate per round.
 _REFINE_PAIRS = 8
-
-#: In-process override installed by :func:`set_tile`.
-_forced_tile: int | None = None
 
 _OPCODE = {
     Operator.EQ: 0,
@@ -98,53 +86,11 @@ _OPCODE = {
 }
 
 
-def _validate_tile(tile: object, source: str) -> int:
-    if isinstance(tile, bool) or not isinstance(tile, int) or tile < 1:
-        # Same message as EngineConfig's constructor validation, plus
-        # the source, so every configuration path reads identically.
-        raise ValueError(
-            f"dc_tile must be a positive integer, got {tile!r} (from {source})"
-        )
-    return tile
-
-
-def set_tile(tile: int | None) -> None:
-    """Force a tile size in-process (overrides ``REPRO_DC_TILE``).
-
-    ``None`` removes the override.  :meth:`EngineConfig.activate`
-    installs its ``dc_tile`` through this.
-    """
-    global _forced_tile
-    _forced_tile = None if tile is None else _validate_tile(tile, "set_tile()")
-
-
-def effective_tile() -> int:
-    """The tile size the engine would use now (override > env > default)."""
-    if _forced_tile is not None:
-        return _forced_tile
-    env = os.environ.get(TILE_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"dc_tile must be a positive integer, got {env!r} "
-                f"(from ${TILE_ENV_VAR})"
-            ) from None
-        return _validate_tile(value, f"${TILE_ENV_VAR}")
-    return DEFAULT_TILE
-
-
-@contextmanager
-def use_tile(tile: int | None) -> Iterator[None]:
-    """Scoped :func:`set_tile` (tests and benches use this)."""
-    global _forced_tile
-    previous = _forced_tile
-    set_tile(tile)
-    try:
-        yield
-    finally:
-        _forced_tile = previous
+def _tile(tile: int | None) -> int:
+    """A per-call tile, else the ``dc_tile`` setting."""
+    if tile is None:
+        return settings.get("dc_tile")
+    return settings._parse("dc_tile", tile, "tile=")
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +182,7 @@ def _evidence_sweep(specs: dict, tile: int, counts: dict[int, int]) -> None:
     it.
     """
     backend = kernels.get_backend()
-    workers = parallel.effective_workers()
+    workers = settings.get("workers")
     if parallel.pool_kind(workers) == "serial":
         backend.evidence_sweep(specs, tile, counts)
         return
@@ -278,7 +224,7 @@ def build_evidence_tiled(
     permutation sample; duplicate-class-internal pairs are always
     summarized), flagged honestly via ``sampled``.
     """
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile(tile)
     n = relation.num_rows
     total_unordered = n * (n - 1) // 2
     counts: dict[int, int] = {}
@@ -415,7 +361,7 @@ def discover_dcs(
             "for approximate mining (max_violations > 0)"
         )
     start = time.perf_counter()
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile(tile)
     n = relation.num_rows
     total_unordered = n * (n - 1) // 2
     if not space.attributes or n < 2:
@@ -516,7 +462,7 @@ def dc_violating_pairs(
     O(pairs · |DC attrs| / SIMD); pair order follows the block sweep,
     not the row-major reference enumeration.  ``limit`` truncates.
     """
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile(tile)
     space = PredicateSpace(relation.name, tuple(dc.predicates))
     pair_space = _pair_space(relation, space, collapse=False)
     backend = kernels.get_backend()

@@ -101,13 +101,14 @@ class ArityError(ReproError):
         self.got = got
 
 
-class KernelBackendError(ReproError):
+class KernelBackendError(ReproError, ValueError):
     """A kernel backend was requested that cannot be used.
 
     Raised when an unknown backend name is configured, or when the
     ``numpy`` backend is selected explicitly (``REPRO_BACKEND=numpy`` or
-    :func:`repro.relational.kernels.set_backend`) but NumPy is not
-    installed.  The ``auto`` selection never raises — it silently falls
+    the ``backend`` knob of :mod:`repro.settings`) but NumPy is not
+    installed.  It is a :class:`ValueError`, like every other invalid
+    setting.  The ``auto`` selection never raises — it silently falls
     back to the pure-Python kernels.
     """
 

@@ -53,6 +53,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Union
 
+from repro import settings
+
 from . import kernels, parallel
 from .encoding import NULL_CODE, UNSEEN_CODE, remap_dictionary
 from .errors import ReproError
@@ -595,7 +597,7 @@ def _root_mask(relation, expr: Predicate, backend):
         or not is_predicate(expr)  # let the serial walk raise its error
     ):
         return _mask(relation, expr, backend)
-    workers = parallel.effective_workers()
+    workers = settings.get("workers")
     chunk = -(-n // (workers * 2))
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if len(bounds) < 2:

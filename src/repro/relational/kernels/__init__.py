@@ -17,17 +17,12 @@ Both backends expose the same module-level functions (see
 the same entropies.  The property-test suite pins that equivalence,
 including NULL rows and the all-singleton/all-duplicate edge cases.
 
-Selection rules, in priority order:
-
-1. an explicit :func:`set_backend` / :func:`use_backend` call
-   (``repro.core.config.EngineConfig.activate`` goes through this);
-2. the ``REPRO_BACKEND`` environment variable (``python`` | ``numpy``
-   | ``auto``);
-3. ``auto`` — the numpy backend when NumPy imports, else python.
-
-Explicitly requesting ``numpy`` without NumPy installed raises
-:class:`~repro.relational.errors.KernelBackendError`; ``auto`` falls
-back silently, so a stdlib-pure install keeps working unchanged.
+The backend is the ``backend`` knob of :mod:`repro.settings`:
+``python``, ``numpy`` or ``auto`` (the default: the numpy backend when
+NumPy imports, else python).  Requesting ``numpy`` without NumPy
+installed raises :class:`~repro.relational.errors.KernelBackendError`;
+``auto`` falls back silently, so a stdlib-pure install keeps working
+unchanged.
 
 Backends are resolved per *operation*, not per relation: a relation's
 partition cache stores whichever representation the backend active at
@@ -39,32 +34,17 @@ caches.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from types import ModuleType
-from typing import Iterator
 
-from ..errors import KernelBackendError
+from repro import settings
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "available_backends",
     "backend_module",
     "get_backend",
     "active_backend_name",
     "numpy_available",
-    "set_backend",
-    "use_backend",
 ]
-
-#: Environment variable consulted when no backend is forced in-process.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_KNOWN = ("auto", "python", "numpy")
-
-#: In-process override installed by :func:`set_backend`; ``None`` defers
-#: to the environment variable / auto detection.
-_forced: str | None = None
 
 #: Cached result of the NumPy import probe (``None`` = not probed yet).
 _numpy_probe: bool | None = None
@@ -90,49 +70,20 @@ def available_backends() -> tuple[str, ...]:
     return ("python",)
 
 
-def _normalize(name: str, source: str) -> str:
-    normalized = name.strip().lower()
-    if normalized not in _KNOWN:
-        # Same message as EngineConfig's constructor validation, plus
-        # the source, so env-var typos read identically to code typos.
-        raise KernelBackendError(
-            name,
-            f"backend must be 'auto', 'python' or 'numpy', got {name!r} "
-            f"(from {source})",
-        )
-    return normalized
-
-
-def _resolve() -> str:
-    """The backend name the current rules select (``python``/``numpy``)."""
-    if _forced is not None:
-        requested, source = _forced, "set_backend()"
-    else:
-        env = os.environ.get(BACKEND_ENV_VAR)
-        if env:
-            source = f"${BACKEND_ENV_VAR}"
-            requested = _normalize(env, source)
-        else:
-            requested, source = "auto", "auto"
-    if requested == "auto":
+def _concrete(name: str) -> str:
+    if name == "auto":
         return "numpy" if numpy_available() else "python"
-    if requested == "numpy" and not numpy_available():
-        raise KernelBackendError(
-            "numpy",
-            f"NumPy is not installed (requested via {source}); "
-            "install the [fast] extra or select the python backend",
-        )
-    return requested
+    return name
 
 
 def active_backend_name() -> str:
-    """The name of the backend :func:`get_backend` would return now."""
-    return _resolve()
+    """The concrete backend (``python``/``numpy``) the setting selects now."""
+    return _concrete(settings.get("backend"))
 
 
 def get_backend() -> ModuleType:
     """The active kernel backend module (resolved per call)."""
-    if _resolve() == "numpy":
+    if active_backend_name() == "numpy":
         from . import numpy_backend
 
         return numpy_backend
@@ -149,45 +100,11 @@ def backend_module(name: str) -> ModuleType:
     exact backend its parent exported state for — independent of the
     worker's own environment-based resolution.
     """
-    normalized = _normalize(name, "backend_module()")
-    if normalized == "auto":
-        normalized = "numpy" if numpy_available() else "python"
-    if normalized == "numpy":
-        if not numpy_available():
-            raise KernelBackendError("numpy", "NumPy is not installed")
+    requested = settings._parse("backend", name, "backend_module()")
+    if _concrete(requested) == "numpy":
         from . import numpy_backend
 
         return numpy_backend
     from . import python_backend
 
     return python_backend
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend in-process (overrides ``REPRO_BACKEND``).
-
-    ``None`` removes the override; ``"auto"`` forces auto-detection
-    (ignoring the environment variable).  Requesting ``"numpy"``
-    without NumPy installed raises immediately rather than at first
-    use, so misconfiguration surfaces at startup.
-    """
-    global _forced
-    if name is None:
-        _forced = None
-        return
-    normalized = _normalize(name, "set_backend()")
-    if normalized == "numpy" and not numpy_available():
-        raise KernelBackendError("numpy", "NumPy is not installed")
-    _forced = normalized
-
-
-@contextmanager
-def use_backend(name: str | None) -> Iterator[None]:
-    """Scoped :func:`set_backend` (benchmarks and tests use this)."""
-    global _forced
-    previous = _forced
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _forced = previous

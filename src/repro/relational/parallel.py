@@ -28,10 +28,8 @@ Two pool flavours, selected by the active kernel backend:
   the merge order) is identical, so the equivalence suite runs the
   same assertions on both backends.
 
-Worker-count selection mirrors the DC engine's tile knob: an in-process
-:func:`set_workers` override (``EngineConfig(workers=…).activate()``
-lands here) beats the ``REPRO_WORKERS`` environment variable beats the
-serial default.  ``workers=0`` *is* the oracle: every consumer guards
+The pool width is the ``workers`` knob of :mod:`repro.settings`
+(default 0).  ``workers=0`` *is* the oracle: every consumer guards
 with :func:`pool_kind` and runs its original serial code, and
 ``workers=1`` also stays inline — same code path, no pool, nothing
 spawned.
@@ -58,44 +56,19 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Any, Iterator
+from typing import Any
+
+from repro import settings
 
 from . import kernels
 from .errors import WorkerPoolError
 
 __all__ = [
-    "WORKERS_ENV_VAR",
-    "effective_workers",
     "morsel_map",
     "pool_kind",
-    "set_morsel_timeout",
-    "set_workers",
     "shutdown_pools",
-    "use_morsel_timeout",
-    "use_workers",
 ]
-
-#: Environment variable consulted when no worker count is forced
-#: in-process (mirrors ``REPRO_BACKEND`` / ``REPRO_DC_TILE``).
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Serial execution — the byte-identical oracle every parallel path is
-#: tested against.
-DEFAULT_WORKERS = 0
-
-#: In-process override installed by :func:`set_workers`; ``None``
-#: defers to the environment variable / default.
-_forced_workers: int | None = None
-
-#: Morsel-map watchdog in seconds; ``None`` (the default) waits
-#: indefinitely, the historical behaviour.  When set, a process-pool
-#: map that makes no progress within the window — the signature of a
-#: crashed worker whose tasks can never complete — raises
-#: :class:`~repro.relational.errors.WorkerPoolError` after discarding
-#: the broken pool, so callers can retry on a fresh one.
-_morsel_timeout: float | None = None
 
 #: Live executors, keyed by ``(kind, workers)``; populated lazily and
 #: reused across morsel maps (hypothesis suites fan out thousands of
@@ -109,100 +82,6 @@ _live_segments: set[str] = set()
 _region_ids = itertools.count()
 
 
-def _validate_workers(workers: object, source: str) -> int:
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValueError(
-            f"workers must be a non-negative integer, got {workers!r} "
-            f"(from {source})"
-        )
-    if workers < 0:
-        raise ValueError(
-            f"workers must be a non-negative integer, got {workers} "
-            f"(from {source})"
-        )
-    return workers
-
-
-def set_workers(workers: int | None) -> None:
-    """Force a worker count in-process (overrides ``REPRO_WORKERS``).
-
-    ``None`` removes the override; ``0`` forces the serial oracle.
-    ``EngineConfig.activate`` is the public entry point.
-    """
-    global _forced_workers
-    if workers is None:
-        _forced_workers = None
-        return
-    _forced_workers = _validate_workers(workers, "set_workers()")
-
-
-def effective_workers() -> int:
-    """The worker count the current rules select.
-
-    Priority: :func:`set_workers` override, then ``REPRO_WORKERS``,
-    then the serial default (0).
-    """
-    if _forced_workers is not None:
-        return _forced_workers
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"workers must be a non-negative integer, got {raw!r} "
-                f"(from ${WORKERS_ENV_VAR})"
-            ) from None
-        return _validate_workers(value, f"${WORKERS_ENV_VAR}")
-    return DEFAULT_WORKERS
-
-
-def set_morsel_timeout(seconds: float | None) -> None:
-    """Arm (or disarm, with ``None``) the morsel-map watchdog.
-
-    The monitoring service arms this so a crashed pool worker surfaces
-    as a retryable :class:`~repro.relational.errors.WorkerPoolError`
-    instead of a hang.
-    """
-    global _morsel_timeout
-    if seconds is None:
-        _morsel_timeout = None
-        return
-    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-        raise ValueError(
-            f"morsel timeout must be a positive number, got {seconds!r}"
-        )
-    if seconds <= 0:
-        raise ValueError(
-            f"morsel timeout must be a positive number, got {seconds}"
-        )
-    _morsel_timeout = float(seconds)
-
-
-@contextmanager
-def use_morsel_timeout(seconds: float | None) -> Iterator[None]:
-    """Scoped :func:`set_morsel_timeout` (tests and the service use this)."""
-    global _morsel_timeout
-    previous = _morsel_timeout
-    set_morsel_timeout(seconds)
-    try:
-        yield
-    finally:
-        _morsel_timeout = previous
-
-
-@contextmanager
-def use_workers(workers: int | None) -> Iterator[None]:
-    """Scoped :func:`set_workers` (tests and benchmarks use this)."""
-    global _forced_workers
-    previous = _forced_workers
-    set_workers(workers)
-    try:
-        yield
-    finally:
-        _forced_workers = previous
-
-
 def pool_kind(workers: int | None = None) -> str:
     """``"serial"``, ``"thread"`` or ``"process"`` for a worker count.
 
@@ -211,7 +90,7 @@ def pool_kind(workers: int | None = None) -> str:
     shared memory to a process pool, the stdlib-pure backend shares its
     list-based state with threads.
     """
-    count = effective_workers() if workers is None else workers
+    count = settings.get("workers") if workers is None else workers
     if count <= 1:
         return "serial"
     return "process" if kernels.active_backend_name() == "numpy" else "thread"
@@ -447,9 +326,9 @@ def morsel_map(
     worker exception propagates to the caller with its original type;
     the pool survives for the next call.
 
-    ``timeout`` (or the module-wide :func:`set_morsel_timeout`) arms a
-    watchdog on pooled maps: a map that fails to complete within the
-    window raises :class:`~repro.relational.errors.WorkerPoolError`.
+    ``timeout`` (or the ``morsel_timeout`` setting) arms a watchdog on
+    pooled maps: a map that fails to complete within the window raises
+    :class:`~repro.relational.errors.WorkerPoolError`.
     On the process pool the stalled pool is terminated and discarded
     first (a SIGKILL-ed worker's tasks would otherwise hang the map
     forever), so a retry transparently gets a fresh pool; thread-pool
@@ -460,13 +339,13 @@ def morsel_map(
     if not tasks:
         return []
     if workers is None:
-        count = effective_workers()
+        count = settings.get("workers")
     else:
-        count = _validate_workers(workers, "workers=")
+        count = settings._parse("workers", workers, "workers=")
     kind = pool_kind(count)
     arrays = tuple(arrays)
     if timeout is None:
-        timeout = _morsel_timeout
+        timeout = settings.get("morsel_timeout")
     if kind == "serial" or len(tasks) == 1:
         return [worker(arrays, payload, task) for task in tasks]
     if kind == "thread":

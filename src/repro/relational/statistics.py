@@ -17,10 +17,9 @@ shrink rapidly as X approaches a key.  Because relations are immutable
 statistics object), neither cache can ever go stale; the only
 invalidation rule is :meth:`clear`, which callers use to reset cost
 accounting between benchmark phases.  The partition cache is an LRU
-bounded by :func:`configure_caches` (installed by
-``EngineConfig.activate``) so long monitoring runs cannot grow memory
-without bound; hit/miss/eviction counters sit next to
-``executed_count_queries``.
+bounded by the ``partition_cache_size`` knob of :mod:`repro.settings`
+so long monitoring runs cannot grow memory without bound;
+hit/miss/eviction counters sit next to ``executed_count_queries``.
 
 The third layer is the **delta engine**
 (:mod:`repro.relational.delta`): when a relation is produced by
@@ -38,6 +37,8 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro import settings
+
 from . import kernels, parallel
 from .delta import GroupTracker
 from .partition import StrippedPartition
@@ -45,53 +46,7 @@ from .partition import StrippedPartition
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .relation import Relation
 
-__all__ = [
-    "RelationStatistics",
-    "configure_caches",
-    "partition_cache_limit",
-    "tracker_limit",
-]
-
-#: Default bound on cached stripped partitions per relation — generous:
-#: a 30-attribute discovery at LHS ≤ 3 caches ~4.5k sets and must not
-#: thrash (C(30,1) + C(30,2) + C(30,3) = 4525 < 8192).
-_DEFAULT_PARTITION_CACHE_LIMIT = 8192
-#: Default bound on delta-maintained group trackers per relation; the
-#: monitoring path tracks a handful of sets per watched FD, so 64 sets
-#: already covers ~20 FDs.
-_DEFAULT_TRACKER_LIMIT = 64
-
-_partition_cache_limit: int | None = _DEFAULT_PARTITION_CACHE_LIMIT
-_tracker_limit: int | None = _DEFAULT_TRACKER_LIMIT
-
-
-def configure_caches(
-    partition_cache_size: int | None = _DEFAULT_PARTITION_CACHE_LIMIT,
-    delta_track_limit: int | None = _DEFAULT_TRACKER_LIMIT,
-) -> None:
-    """Install process-wide cache bounds (``None`` = unbounded).
-
-    ``repro.core.config.EngineConfig.activate`` is the public entry
-    point; the bounds apply to statistics objects from then on (already
-    cached entries are trimmed lazily at the next insertion).
-    """
-    global _partition_cache_limit, _tracker_limit
-    if partition_cache_size is not None and partition_cache_size < 1:
-        raise ValueError("partition_cache_size must be >= 1 or None")
-    if delta_track_limit is not None and delta_track_limit < 1:
-        raise ValueError("delta_track_limit must be >= 1 or None")
-    _partition_cache_limit = partition_cache_size
-    _tracker_limit = delta_track_limit
-
-
-def partition_cache_limit() -> int | None:
-    """The active bound on cached partitions per relation."""
-    return _partition_cache_limit
-
-
-def tracker_limit() -> int | None:
-    """The active bound on delta trackers per relation."""
-    return _tracker_limit
+__all__ = ["RelationStatistics"]
 
 
 def _build_chain(backend, code_columns):
@@ -231,11 +186,10 @@ class RelationStatistics:
 
     def _store_partition(self, key: frozenset[str], partition) -> None:
         self._partition_cache[key] = partition
-        limit = _partition_cache_limit
-        if limit is not None:
-            while len(self._partition_cache) > limit:
-                self._partition_cache.popitem(last=False)
-                self._partition_evictions += 1
+        limit = settings.get("partition_cache_size")
+        while len(self._partition_cache) > limit:
+            self._partition_cache.popitem(last=False)
+            self._partition_evictions += 1
 
     def _build_partition(self, key: frozenset[str]) -> StrippedPartition:
         """Build π_key with the active kernel backend.
@@ -369,10 +323,9 @@ class RelationStatistics:
 
     def _store_tracker(self, key: frozenset[str], tracker: GroupTracker) -> None:
         self._trackers[key] = tracker
-        limit = _tracker_limit
-        if limit is not None:
-            while len(self._trackers) > limit:
-                self._trackers.popitem(last=False)
+        limit = settings.get("delta_track_limit")
+        while len(self._trackers) > limit:
+            self._trackers.popitem(last=False)
 
     def adopt_delta(self, parent: "RelationStatistics") -> None:
         """Patch this (fresh) statistics object from a parent's state.
@@ -389,13 +342,13 @@ class RelationStatistics:
         start = parent._relation.num_rows
         keys: list[frozenset[str]] = list(parent._trackers)
         seen = set(keys)
-        limit = _tracker_limit
+        limit = settings.get("delta_track_limit")
         for source in (parent._partition_cache, parent._distinct_cache):
             for key in source:
                 if key and key not in seen:
                     seen.add(key)
                     keys.append(key)
-        if limit is not None:
+        if len(keys) > limit:
             keys = keys[:limit]
         for key in keys:
             tracker = parent._trackers.pop(key, None)

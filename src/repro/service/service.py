@@ -5,8 +5,7 @@ schema, a scoped FD watch list, and a priority; all tenants multiplex
 over the shared engine machinery (one
 :class:`~repro.relational.delta.DeltaStream`-backed
 :class:`~repro.core.monitor.FDMonitor` per tenant, one process-wide
-kernel backend / morsel pool configured by
-:class:`~repro.core.config.EngineConfig`).
+kernel backend / morsel pool configured through :mod:`repro.settings`).
 
 The batch lifecycle — and where each guarantee comes from:
 
@@ -54,7 +53,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.config import EngineConfig
 from repro.core.monitor import FDMonitor
 from repro.fd.fd import FunctionalDependency
 from repro.relational.errors import WorkerPoolError
@@ -163,7 +161,7 @@ class TenantSpec:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service-level knobs; engine-level ones ride in ``engine``.
+    """Service-level knobs; engine-level ones live in :mod:`repro.settings`.
 
     All limits are validated at construction with the same message
     style :class:`~repro.core.config.EngineConfig` uses, so a bad unit
@@ -186,8 +184,6 @@ class ServiceConfig:
     sync: str = "batch"
     retain_segments: bool = False
     keep_checkpoints: int = 2
-    engine: EngineConfig | None = None
-    morsel_timeout: float | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -237,14 +233,6 @@ class ServiceConfig:
             )
         if self.sync not in ("batch", "none"):
             raise ValueError(f"sync must be 'batch' or 'none', got {self.sync!r}")
-        if self.morsel_timeout is not None and (
-            not isinstance(self.morsel_timeout, (int, float))
-            or self.morsel_timeout <= 0
-        ):
-            raise ValueError(
-                f"morsel_timeout must be a positive number or None, "
-                f"got {self.morsel_timeout!r}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +297,9 @@ class MonitorService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Activate engine knobs and recover every tenant on disk."""
+        """Recover every tenant on disk."""
         if self._state != "new":
             raise ServiceError(f"cannot start a {self._state} service")
-        if self.config.engine is not None:
-            self.config.engine.activate()
-        if self.config.morsel_timeout is not None:
-            from repro.relational import parallel
-
-            parallel.set_morsel_timeout(self.config.morsel_timeout)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._state = "running"
         for path in sorted(self.state_dir.iterdir()):

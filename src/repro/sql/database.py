@@ -9,7 +9,7 @@ pipeline and pins per-call engine and worker settings::
     print(result.to_csv())
 
 The facade adds no semantics of its own — :meth:`Database.query` is
-``execute`` plus a scoped :func:`repro.relational.parallel.use_workers`
+``execute`` plus a scoped ``workers`` setting (:func:`repro.settings.use`)
 — so everything the property suite proves about the engines holds here
 too.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from repro.relational import parallel
+from repro import settings
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 
@@ -171,7 +171,7 @@ class Database:
         """
         if workers is None:
             return execute(self.catalog, sql, engine, optimize=optimize)
-        with parallel.use_workers(workers):
+        with settings.use(workers=workers):
             return execute(self.catalog, sql, engine, optimize=optimize)
 
     def query_plan(
@@ -199,7 +199,7 @@ class Database:
             return optimize_plan(built, StatisticsProvider(catalog=self.catalog))
         if workers is None:
             return execute_plan(self.catalog, plan, engine)
-        with parallel.use_workers(workers):
+        with settings.use(workers=workers):
             return execute_plan(self.catalog, plan, engine)
 
     def explain(self, sql: str) -> str:

@@ -48,6 +48,7 @@ import io
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from repro import settings
 from repro.relational import expr as ir
 from repro.relational import kernels
 from repro.relational.catalog import Catalog
@@ -72,7 +73,7 @@ from .ast import (
     SelectQuery,
 )
 from .errors import PlanError, SqlExecutionError
-from .optimize import optimize_plan, resolve_optimize
+from .optimize import optimize_plan
 from .parser import parse
 from .stats import StatisticsProvider
 from .plan import (
@@ -200,12 +201,14 @@ def _maybe_optimize(
     """Apply the optimizer unless the effective mode is ``"off"``.
 
     ``optimize`` overrides per call (``"on"``/``"off"``); ``None``
-    defers to :func:`repro.sql.optimize.active_optimize` — installed by
-    ``EngineConfig(optimize=...)`` / ``$REPRO_OPTIMIZE``.  The ``"off"``
-    path is the byte-identical oracle the equivalence suite pins
-    against.
+    defers to the ``optimize`` setting.  The ``"off"`` path is the
+    byte-identical oracle the equivalence suite pins against.
     """
-    if resolve_optimize(optimize) != "on":
+    if optimize is None:
+        optimize = settings.get("optimize")
+    else:
+        optimize = settings._parse("optimize", optimize, "optimize=")
+    if optimize != "on":
         return plan
     return optimize_plan(
         plan, StatisticsProvider(catalog=catalog, relation=relation)

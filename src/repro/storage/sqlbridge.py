@@ -47,13 +47,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro import settings
 from repro.relational import expr as ir
 from repro.relational import kernels, parallel
 from repro.relational.relation import Relation
 from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
 from repro.sql.executor import ResultSet, compile_expression, execute_on_relation
-from repro.sql.optimize import active_optimize
 from repro.sql.parser import parse
 
 from .format import ChunkZone
@@ -433,7 +433,7 @@ def scan_store(
     )
     keep = tuple(range(len(out_names)))
     conjuncts = [] if predicate is None else _split_conjuncts(predicate)
-    skipping = predicate is not None and active_optimize() == "on"
+    skipping = predicate is not None and settings.get("optimize") == "on"
     surviving: list[int] = []
     raise_free = True  # every conjunct provably error-free on survivors
     for chunk in range(store.num_chunks):
@@ -557,6 +557,6 @@ def query_store(
     if workers is None:
         scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
         return execute_on_relation(scan, sql, engine)
-    with parallel.use_workers(workers):
+    with settings.use(workers=workers):
         scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
         return execute_on_relation(scan, sql, engine)

@@ -4,8 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro import settings
 from repro.datagen.places import places_catalog, places_relation
 from repro.relational.relation import Relation
+
+
+@pytest.fixture(autouse=True)
+def _isolate_settings():
+    """Undo every settings override a test installs.
+
+    Restores the override table, not the values read: a value the
+    environment supplied must stay an environment read, so a later
+    ``$REPRO_*`` (the CI worker legs) still applies.
+    """
+    with settings.use():
+        yield
 
 
 @pytest.fixture

@@ -24,16 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
 from repro.core.config import EngineConfig
 from repro.datarepair.conflicts import build_dc_conflict_graph
-from repro.dc import engine as dc_engine
 from repro.dc.engine import (
     DEFAULT_TILE,
-    TILE_ENV_VAR,
     build_evidence_tiled,
     dc_violating_pairs,
     discover_dcs,
-    use_tile,
 )
 from repro.dc.evidence import (
     EvidenceIndex,
@@ -90,7 +88,7 @@ def _full_space(relation: Relation) -> PredicateSpace:
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with engine_settings.use(backend=request.param):
         yield request.param
 
 
@@ -102,10 +100,10 @@ class TestTiledEvidenceEquivalence:
     @given(dc_relations(), st.integers(1, 9))
     def test_tiled_matches_reference_with_null_nan_lanes(self, relation, tile):
         space = _full_space(relation)
-        with kernels.use_backend("python"):
+        with engine_settings.use(backend="python"):
             reference = build_evidence_set(relation, space)
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 tiled = build_evidence_tiled(relation, space, tile=tile)
             assert tiled.counts == reference.counts
             assert tiled.total_pairs == reference.total_pairs
@@ -377,29 +375,29 @@ class TestPermutedSampling:
 # ----------------------------------------------------------------------
 class TestTileKnob:
     def test_default(self):
-        assert dc_engine.effective_tile() == DEFAULT_TILE == 4096
+        assert engine_settings.get("dc_tile") == DEFAULT_TILE == 4096
 
     def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV_VAR, "512")
-        assert dc_engine.effective_tile() == 512
-        monkeypatch.setenv(TILE_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_DC_TILE", "512")
+        assert engine_settings.get("dc_tile") == 512
+        monkeypatch.setenv("REPRO_DC_TILE", "0")
         with pytest.raises(ValueError):
-            dc_engine.effective_tile()
-        monkeypatch.setenv(TILE_ENV_VAR, "many")
+            engine_settings.get("dc_tile")
+        monkeypatch.setenv("REPRO_DC_TILE", "many")
         with pytest.raises(ValueError):
-            dc_engine.effective_tile()
+            engine_settings.get("dc_tile")
 
     def test_set_tile_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV_VAR, "512")
-        with use_tile(64):
-            assert dc_engine.effective_tile() == 64
-        assert dc_engine.effective_tile() == 512
+        monkeypatch.setenv("REPRO_DC_TILE", "512")
+        with engine_settings.use(dc_tile=64):
+            assert engine_settings.get("dc_tile") == 64
+        assert engine_settings.get("dc_tile") == 512
 
     def test_set_tile_validation(self):
         with pytest.raises(ValueError):
-            dc_engine.set_tile(0)
+            engine_settings.set(dc_tile=0)
         with pytest.raises(ValueError):
-            dc_engine.set_tile(True)
+            engine_settings.set(dc_tile=True)
 
     def test_engine_config_knob(self):
         assert EngineConfig().dc_tile == DEFAULT_TILE
@@ -407,9 +405,5 @@ class TestTileKnob:
             EngineConfig(dc_tile=0)
         with pytest.raises(ValueError):
             EngineConfig(dc_tile="big")
-        try:
-            EngineConfig(backend="python", dc_tile=128).activate()
-            assert dc_engine.effective_tile() == 128
-        finally:
-            kernels.set_backend(None)
-            dc_engine.set_tile(None)
+        EngineConfig(backend="python", dc_tile=128).activate()
+        assert engine_settings.get("dc_tile") == 128

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
 from repro.dc.evidence import build_evidence_set
 from repro.dc.predicates import build_predicate_space
 from repro.relational import expr, kernels
@@ -154,7 +155,7 @@ def outcome(fn):
 @settings(max_examples=120, deadline=None)
 @given(relation=relations(), predicate=predicates())
 def test_filter_rows_equals_scalar_oracle(backend, relation, predicate):
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         assert list(expr.filter_rows(relation, predicate)) == oracle_rows(
             relation, predicate
         )
@@ -164,7 +165,7 @@ def test_filter_rows_equals_scalar_oracle(backend, relation, predicate):
 @settings(max_examples=60, deadline=None)
 @given(relation=relations(), predicate=predicates())
 def test_select_ir_equals_callable(backend, relation, predicate):
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         via_ir = relation.select(predicate)
         with pytest.warns(DeprecationWarning, match="callable predicate"):
             via_callable = relation.select(expr.as_row_callable(predicate))
@@ -177,7 +178,7 @@ def test_select_ir_equals_callable(backend, relation, predicate):
 def test_error_equivalence_with_short_circuit(backend, relation, predicate):
     """Ill-typed leaves raise columnar iff the scalar oracle raises —
     same message, same short-circuit reachability — else rows match."""
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         columnar = outcome(lambda: list(expr.filter_rows(relation, predicate)))
     oracle = outcome(lambda: oracle_rows(relation, predicate))
     assert columnar == oracle
@@ -259,7 +260,7 @@ def join_pairs(draw):
 @given(pair=join_pairs())
 def test_natural_join_equals_reference(backend, pair):
     left, right = pair
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         joined = natural_join(left, right)
     assert joined.attribute_names == ("K", "N", "L", "R")
     assert list(joined.rows()) == reference_join(left, right)
@@ -272,7 +273,7 @@ def test_cross_product_when_disjoint(backend, pair):
     left, right = pair
     left = left.project(["L"], new_name="left")
     right = right.project(["R"], new_name="right")
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         joined = natural_join(left, right)
     assert list(joined.rows()) == reference_join(left, right)
 
@@ -283,7 +284,7 @@ def test_null_joins_null():
     left = Relation.from_columns("left", {"K": [None, "a"], "L": [1, 2]})
     right = Relation.from_columns("right", {"K": [None, "b"], "R": [7, 8]})
     for backend in BACKENDS:
-        with kernels.use_backend(backend):
+        with engine_settings.use(backend=backend):
             joined = natural_join(left, right)
             assert list(joined.rows()) == [(None, 1, 7)]
 
@@ -300,9 +301,9 @@ def test_evidence_nan_ordered_column_matches_reference():
         "r", {"A": [nan, nan, 1.0], "B": [1.0, 2.0, 1.0]}
     )
     space = build_predicate_space(relation)
-    with kernels.use_backend("python"):
+    with engine_settings.use(backend="python"):
         reference = build_evidence_set(relation, space)
-    with kernels.use_backend("numpy"):
+    with engine_settings.use(backend="numpy"):
         vectorized = build_evidence_set(relation, space)
     assert vectorized.counts == reference.counts
 
@@ -314,9 +315,9 @@ def test_evidence_counts_identical_across_backends(relation):
     space = build_predicate_space(relation, include_nullable=True)
     if not space.predicates:
         return
-    with kernels.use_backend("python"):
+    with engine_settings.use(backend="python"):
         reference = build_evidence_set(relation, space)
-    with kernels.use_backend("numpy"):
+    with engine_settings.use(backend="numpy"):
         vectorized = build_evidence_set(relation, space)
     assert vectorized.counts == reference.counts
     assert vectorized.total_pairs == reference.total_pairs

@@ -13,10 +13,13 @@ took — the documented comparison discipline).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
 from repro.eb.entropy import entropy, entropy_of
 from repro.fd.fd import fd
 from repro.fd.measures import count_violating_pairs
@@ -24,14 +27,13 @@ from repro.relational import kernels
 from repro.relational.delta import DeltaStream, GroupTracker
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.statistics import configure_caches
 
 BACKENDS = kernels.available_backends()
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with engine_settings.use(backend=request.param):
         yield request.param
 
 
@@ -72,7 +74,7 @@ def test_extended_columns_byte_identical(data):
     rows = _rows(column_a, card_b)
     schema = RelationSchema("t", ["A", "B", "C"])
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with engine_settings.use(backend=name):
             delta = _chain(schema, rows, min(cut, len(rows)))
             cold = Relation.from_rows(schema, rows, validate=False)
             for attr in schema.attribute_names:
@@ -88,7 +90,7 @@ def test_counts_partitions_entropies_match_cold(data):
     rows = _rows(column_a, card_b)
     schema = RelationSchema("t", ["A", "B", "C"])
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with engine_settings.use(backend=name):
             delta = _chain(schema, rows, min(cut, len(rows)))
             cold = Relation.from_rows(schema, rows, validate=False)
             for attrs in (["A"], ["B"], ["A", "B"], ["A", "B", "C"]):
@@ -130,7 +132,7 @@ def test_violating_pairs_match_cold(data):
     schema = RelationSchema("t", ["A", "B", "C"])
     dependency = fd("A -> B")
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with engine_settings.use(backend=name):
             seed = Relation.from_rows(
                 schema, rows[: min(cut, len(rows))], validate=False
             )
@@ -225,45 +227,37 @@ class TestAdoptDelta:
 
 class TestCacheBounds:
     def test_partition_cache_lru_evicts(self):
-        configure_caches(partition_cache_size=2, delta_track_limit=64)
-        try:
-            relation = Relation.from_columns(
-                "t", {"A": [1, 1], "B": [0, 1], "C": [2, 2], "D": [3, 4]}
-            )
-            stats = relation.stats
-            stats.stripped_partition(["A"])
-            stats.stripped_partition(["B"])
-            stats.stripped_partition(["C"])  # evicts A
-            assert stats.cached_partitions == 2
-            assert stats.partition_cache_evictions == 1
-            assert stats.cached_partition(["A"]) is None
-            # A hit refreshes recency: B stays, C is evicted next.
-            stats.stripped_partition(["B"])
-            stats.stripped_partition(["D"])
-            assert stats.cached_partition(["B"]) is not None
-            assert stats.cached_partition(["C"]) is None
-        finally:
-            configure_caches()
+        engine_settings.set(partition_cache_size=2)
+        relation = Relation.from_columns(
+            "t", {"A": [1, 1], "B": [0, 1], "C": [2, 2], "D": [3, 4]}
+        )
+        stats = relation.stats
+        stats.stripped_partition(["A"])
+        stats.stripped_partition(["B"])
+        stats.stripped_partition(["C"])  # evicts A
+        assert stats.cached_partitions == 2
+        assert stats.partition_cache_evictions == 1
+        assert stats.cached_partition(["A"]) is None
+        # A hit refreshes recency: B stays, C is evicted next.
+        stats.stripped_partition(["B"])
+        stats.stripped_partition(["D"])
+        assert stats.cached_partition(["B"]) is not None
+        assert stats.cached_partition(["C"]) is None
 
     def test_tracker_limit_bounds_adoption(self):
-        configure_caches(partition_cache_size=None, delta_track_limit=2)
-        try:
-            relation = Relation.from_columns(
-                "t", {"A": [1, 1], "B": [0, 1], "C": [2, 2]}
-            )
-            relation.count_distinct(["A"])
-            relation.count_distinct(["B"])
-            relation.count_distinct(["C"])
-            child = relation.extend([(1, 0, 2)])
-            assert child.stats.tracked_sets == 2
-        finally:
-            configure_caches()
+        engine_settings.set(partition_cache_size=math.inf, delta_track_limit=2)
+        relation = Relation.from_columns("t", {"A": [1, 1], "B": [0, 1], "C": [2, 2]})
+        relation.count_distinct(["A"])
+        relation.count_distinct(["B"])
+        relation.count_distinct(["C"])
+        child = relation.extend([(1, 0, 2)])
+        assert child.stats.tracked_sets == 2
 
     def test_configure_caches_validates(self):
-        with pytest.raises(ValueError):
-            configure_caches(partition_cache_size=0)
-        with pytest.raises(ValueError):
-            configure_caches(delta_track_limit=0)
+        with pytest.raises(ValueError, match="partition_cache_size must be"):
+            engine_settings.set(partition_cache_size=0)
+        with pytest.raises(ValueError, match="delta_track_limit must be"):
+            engine_settings.set(delta_track_limit=0)
 
     def test_clear_drops_trackers(self):
         relation = Relation.from_columns("t", {"A": [1, 1, 2]})

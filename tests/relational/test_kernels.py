@@ -1,7 +1,10 @@
 """Tests for kernel backend selection (env var, overrides, config)."""
 
+import math
+
 import pytest
 
+from repro import settings
 from repro.core.config import EngineConfig
 from repro.relational import kernels
 from repro.relational.errors import KernelBackendError
@@ -14,8 +17,8 @@ requires_numpy = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
     """Each test starts from env-driven auto selection."""
-    monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_forced", None)
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    settings.set(backend=None)
 
 
 class TestResolution:
@@ -28,22 +31,22 @@ class TestResolution:
         assert "python" in kernels.available_backends()
 
     def test_env_var_selects_python(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "python")
+        monkeypatch.setenv("REPRO_BACKEND", "python")
         assert kernels.active_backend_name() == "python"
         assert kernels.get_backend().NAME == "python"
 
     @requires_numpy
     def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert kernels.get_backend().NAME == "numpy"
 
     def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "fortran")
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
         with pytest.raises(KernelBackendError):
             kernels.get_backend()
 
     def test_env_var_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setattr(kernels, "_numpy_probe", False)
         with pytest.raises(KernelBackendError):
             kernels.get_backend()
@@ -56,39 +59,39 @@ class TestResolution:
 
 class TestOverrides:
     def test_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "python")
+        monkeypatch.setenv("REPRO_BACKEND", "python")
         if kernels.numpy_available():
-            kernels.set_backend("numpy")
+            settings.set(backend="numpy")
             assert kernels.get_backend().NAME == "numpy"
-        kernels.set_backend(None)
+        settings.set(backend=None)
         assert kernels.active_backend_name() == "python"
 
     def test_set_backend_auto_ignores_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "python")
-        kernels.set_backend("auto")
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        settings.set(backend="auto")
         expected = "numpy" if kernels.numpy_available() else "python"
         assert kernels.active_backend_name() == expected
 
     def test_set_backend_unknown_raises(self):
         with pytest.raises(KernelBackendError):
-            kernels.set_backend("gpu")
+            settings.set(backend="gpu")
 
     def test_set_backend_numpy_missing_raises_immediately(self, monkeypatch):
         monkeypatch.setattr(kernels, "_numpy_probe", False)
         with pytest.raises(KernelBackendError):
-            kernels.set_backend("numpy")
+            settings.set(backend="numpy")
 
     def test_use_backend_restores_previous(self):
-        kernels.set_backend("python")
-        with kernels.use_backend("auto"):
-            assert kernels._forced == "auto"
+        settings.set(backend="python")
+        with settings.use(backend="auto"):
+            assert settings.get("backend") == "auto"
         assert kernels.get_backend().NAME == "python"
 
     def test_use_backend_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with kernels.use_backend("python"):
+            with settings.use(backend="python"):
                 raise RuntimeError("boom")
-        assert kernels._forced is None
+        assert settings.snapshot()["backend"] == "auto"
 
 
 class TestEngineConfig:
@@ -105,7 +108,7 @@ class TestEngineConfig:
         assert EngineConfig(backend="python").resolve() == "python"
 
     def test_activate_installs_choice(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "auto")
+        monkeypatch.setenv("REPRO_BACKEND", "auto")
         EngineConfig(backend="python").activate()
         assert kernels.get_backend().NAME == "python"
 
@@ -122,15 +125,10 @@ class TestEngineConfig:
         assert EngineConfig(partition_cache_size=None).partition_cache_size is None
 
     def test_activate_installs_cache_bounds(self):
-        from repro.relational import statistics
-
-        try:
-            EngineConfig(
-                backend="python", partition_cache_size=7, delta_track_limit=3
-            ).activate()
-            assert statistics.partition_cache_limit() == 7
-            assert statistics.tracker_limit() == 3
-        finally:
-            kernels.set_backend(None)
-            statistics.configure_caches()
-        assert statistics.partition_cache_limit() == 8192
+        EngineConfig(
+            backend="python", partition_cache_size=7, delta_track_limit=3
+        ).activate()
+        assert settings.get("partition_cache_size") == 7
+        assert settings.get("delta_track_limit") == 3
+        EngineConfig(partition_cache_size=None).activate()
+        assert settings.get("partition_cache_size") == math.inf

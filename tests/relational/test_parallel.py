@@ -10,8 +10,8 @@ consumers compute; this file pins *how the scheduler behaves*:
   warnings at interpreter shutdown;
 * ``workers=1`` (and 0) degrade to inline execution without spawning
   anything;
-* the knob resolution chain (``set_workers`` > ``REPRO_WORKERS`` >
-  serial default) and its validation, mirroring the DC tile knob;
+* the ``workers`` setting's resolution chain (override >
+  ``REPRO_WORKERS`` > serial default) and its validation;
 * ``EngineConfig(workers=…)`` validation and activation, plus the CLI
   ``--workers`` flag.
 """
@@ -22,6 +22,7 @@ import glob
 
 import pytest
 
+from repro import settings
 from repro.cli import main as cli_main
 from repro.core.config import EngineConfig
 from repro.relational import kernels, parallel
@@ -29,12 +30,6 @@ from repro.relational import kernels, parallel
 NUMPY_ONLY = pytest.mark.skipif(
     not kernels.numpy_available(), reason="NumPy not installed"
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_workers():
-    yield
-    parallel.set_workers(None)
 
 
 def _echo(arrays, payload, task):
@@ -55,17 +50,17 @@ def _sum_arrays(arrays, payload, task):
 class TestMorselMap:
     def test_results_in_submission_order(self):
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name), parallel.use_workers(2):
+            with settings.use(backend=backend_name, workers=2):
                 out = parallel.morsel_map(_echo, list(range(20)), payload="p")
                 assert out == [("p", task) for task in range(20)]
 
     def test_empty_tasks(self):
-        with parallel.use_workers(4):
+        with settings.use(workers=4):
             assert parallel.morsel_map(_echo, []) == []
 
     def test_worker_exception_propagates_and_pool_survives(self):
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name), parallel.use_workers(2):
+            with settings.use(backend=backend_name, workers=2):
                 with pytest.raises(ValueError, match="morsel 3 exploded"):
                     parallel.morsel_map(_boom_on_three, list(range(8)))
                 # The pool is still alive and serves the next map.
@@ -78,7 +73,7 @@ class TestMorselMap:
     def test_process_pool_shares_arrays(self):
         import numpy as np
 
-        with kernels.use_backend("numpy"), parallel.use_workers(2):
+        with settings.use(backend="numpy", workers=2):
             arrays = [np.arange(100, dtype=np.int64), np.ones(100, dtype=np.int64)]
             bounds = [(0, 50), (50, 100)]
             out = parallel.morsel_map(_sum_arrays, bounds, arrays=arrays)
@@ -88,7 +83,7 @@ class TestMorselMap:
     def test_shared_memory_released_after_map(self):
         import numpy as np
 
-        with kernels.use_backend("numpy"), parallel.use_workers(2):
+        with settings.use(backend="numpy", workers=2):
             arrays = [np.arange(64, dtype=np.int64)]
             parallel.morsel_map(_sum_arrays, [(0, 32), (32, 64)], arrays=arrays)
         assert parallel.live_segments() == ()
@@ -98,7 +93,7 @@ class TestMorselMap:
     def test_shared_memory_released_after_worker_failure(self):
         import numpy as np
 
-        with kernels.use_backend("numpy"), parallel.use_workers(2):
+        with settings.use(backend="numpy", workers=2):
             arrays = [np.arange(8, dtype=np.int64)]
             with pytest.raises(ValueError):
                 parallel.morsel_map(_boom_on_three, [1, 3], arrays=arrays)
@@ -109,7 +104,7 @@ class TestMorselMap:
 class TestPoolLifecycle:
     def test_workers_one_runs_inline(self):
         parallel.shutdown_pools()
-        with parallel.use_workers(1):
+        with settings.use(workers=1):
             assert parallel.pool_kind() == "serial"
             out = parallel.morsel_map(_echo, list(range(5)))
         assert out == [(None, task) for task in range(5)]
@@ -117,66 +112,66 @@ class TestPoolLifecycle:
 
     def test_workers_zero_runs_inline(self):
         parallel.shutdown_pools()
-        with parallel.use_workers(0):
+        with settings.use(workers=0):
             assert parallel.pool_kind() == "serial"
             parallel.morsel_map(_echo, [1, 2, 3])
         assert parallel.active_pools() == ()
 
     def test_single_task_runs_inline(self):
         parallel.shutdown_pools()
-        with parallel.use_workers(4):
+        with settings.use(workers=4):
             assert parallel.morsel_map(_echo, ["only"]) == [(None, "only")]
         assert parallel.active_pools() == ()
 
     def test_shutdown_is_idempotent(self):
-        with parallel.use_workers(2):
+        with settings.use(workers=2):
             parallel.morsel_map(_echo, [1, 2, 3, 4])
             assert parallel.active_pools() != ()
         parallel.shutdown_pools()
         parallel.shutdown_pools()
         assert parallel.active_pools() == ()
         # A fresh map after shutdown simply builds a new pool.
-        with parallel.use_workers(2):
+        with settings.use(workers=2):
             assert parallel.morsel_map(_echo, [5, 6]) == [(None, 5), (None, 6)]
         parallel.shutdown_pools()
 
 
 class TestWorkerKnob:
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)
-        assert parallel.effective_workers() == parallel.DEFAULT_WORKERS == 0
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert settings.get("workers") == 0
         assert parallel.pool_kind() == "serial"
 
     def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "3")
-        assert parallel.effective_workers() == 3
-        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "-1")
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert settings.get("workers") == 3
+        monkeypatch.setenv("REPRO_WORKERS", "-1")
         with pytest.raises(ValueError, match="non-negative"):
-            parallel.effective_workers()
-        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "many")
+            settings.get("workers")
+        monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ValueError, match="non-negative"):
-            parallel.effective_workers()
+            settings.get("workers")
 
     def test_set_workers_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "3")
-        with parallel.use_workers(0):
-            assert parallel.effective_workers() == 0
-        assert parallel.effective_workers() == 3
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with settings.use(workers=0):
+            assert settings.get("workers") == 0
+        assert settings.get("workers") == 3
 
     def test_set_workers_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
-            parallel.set_workers(-1)
+            settings.set(workers=-1)
         with pytest.raises(ValueError, match="non-negative"):
-            parallel.set_workers(True)
+            settings.set(workers=True)
         with pytest.raises(ValueError, match="non-negative"):
-            parallel.set_workers(2.5)
+            settings.set(workers=2.5)
 
     def test_pool_kind_follows_backend(self):
-        with parallel.use_workers(2):
-            with kernels.use_backend("python"):
+        with settings.use(workers=2):
+            with settings.use(backend="python"):
                 assert parallel.pool_kind() == "thread"
             if kernels.numpy_available():
-                with kernels.use_backend("numpy"):
+                with settings.use(backend="numpy"):
                     assert parallel.pool_kind() == "process"
 
     def test_split_morsels_contiguous(self):
@@ -202,29 +197,15 @@ class TestEngineConfigWorkers:
             EngineConfig(workers="four")
 
     def test_activate_installs_workers(self):
-        from repro.dc import engine as dc_engine
-        from repro.relational import statistics
-
-        try:
-            EngineConfig(backend="python", workers=2).activate()
-            assert parallel.effective_workers() == 2
-        finally:
-            kernels.set_backend(None)
-            dc_engine.set_tile(None)
-            parallel.set_workers(None)
-            statistics.configure_caches()
+        EngineConfig(backend="python", workers=2).activate()
+        assert settings.get("workers") == 2
 
 
 class TestCliWorkers:
     def test_workers_flag_installs_count(self, tmp_path, capsys):
-        try:
-            assert cli_main(["init", str(tmp_path / "db")]) == 0
-            assert (
-                cli_main(["--workers", "2", "show", str(tmp_path / "db")]) == 0
-            )
-            assert parallel.effective_workers() == 2
-        finally:
-            parallel.set_workers(None)
+        assert cli_main(["init", str(tmp_path / "db")]) == 0
+        assert cli_main(["--workers", "2", "show", str(tmp_path / "db")]) == 0
+        assert settings.get("workers") == 2
         capsys.readouterr()
 
     def test_workers_flag_rejects_negative(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
 import repro.relational.expr as expr_mod
 from repro.dc.engine import build_evidence_tiled, discover_dcs
 from repro.dc.model import Operator, Predicate
@@ -93,10 +94,10 @@ class TestEvidenceOracle:
     def test_counts_and_order_match_serial(self, relation, tile):
         space = _full_space(relation)
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 serial = build_evidence_tiled(relation, space, tile=tile)
                 for workers in WORKER_COUNTS:
-                    with parallel.use_workers(workers):
+                    with engine_settings.use(workers=workers):
                         par = build_evidence_tiled(relation, space, tile=tile)
                     assert par.counts == serial.counts
                     assert list(par.counts.items()) == list(serial.counts.items())
@@ -108,11 +109,11 @@ class TestEvidenceOracle:
     def test_sampled_budget_matches_serial(self, relation, budget):
         space = _full_space(relation)
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 serial = build_evidence_tiled(
                     relation, space, tile=4, max_pairs=budget
                 )
-                with parallel.use_workers(3):
+                with engine_settings.use(workers=3):
                     par = build_evidence_tiled(
                         relation, space, tile=4, max_pairs=budget
                     )
@@ -126,11 +127,11 @@ class TestDiscoverDCsOracle:
     def test_tiled_discovery_matches_serial(self, relation, tile):
         space = _full_space(relation)
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 serial = discover_dcs(
                     relation, space, engine="tiled", max_size=2, tile=tile
                 )
-                with parallel.use_workers(4):
+                with engine_settings.use(workers=4):
                     par = discover_dcs(
                         relation, space, engine="tiled", max_size=2, tile=tile
                     )
@@ -176,14 +177,14 @@ class TestTaneOracle:
             for name in relation.attribute_names
         }
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 serial = _fd_snapshot(
                     Relation.from_columns("s", columns),
                     max_lhs_size=3,
                     min_confidence=confidence,
                 )
                 for workers in WORKER_COUNTS:
-                    with parallel.use_workers(workers):
+                    with engine_settings.use(workers=workers):
                         par = _fd_snapshot(
                             Relation.from_columns("p", columns),
                             max_lhs_size=3,
@@ -209,11 +210,11 @@ class TestPrimePartitionsOracle:
         )
         columns = {name: relation.column(name).values() for name in names}
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 lazy = Relation.from_columns("lazy", columns)
                 for attrs in sets:
                     lazy.stats.stripped_partition(sorted(attrs))
-                with parallel.use_workers(3):
+                with engine_settings.use(workers=3):
                     primed = Relation.from_columns("primed", columns)
                     primed.stats.prime_partitions([tuple(s) for s in sets])
                 for attrs in sets:
@@ -229,7 +230,7 @@ class TestPrimePartitionsOracle:
     def test_priming_is_idempotent_and_counted(self):
         columns = {"A": [1.0, 1.0, 2.0], "B": [3.0, 3.0, 3.0]}
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name), parallel.use_workers(2):
+            with engine_settings.use(backend=backend_name, workers=2):
                 relation = Relation.from_columns("idem", columns)
                 built = relation.stats.prime_partitions([("A",), ("A", "B")])
                 assert built == 2
@@ -277,10 +278,10 @@ class TestPredicateMaskOracle:
     def test_chunked_masks_match_serial(self, case):
         relation, predicate = case
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 serial = _mask_outcome(relation, predicate)
                 for workers in WORKER_COUNTS:
-                    with parallel.use_workers(workers):
+                    with engine_settings.use(workers=workers):
                         assert _mask_outcome(relation, predicate) == serial
 
     @settings(max_examples=15, **SETTINGS)
@@ -298,8 +299,8 @@ class TestPredicateMaskOracle:
             eq(col("nope"), 1.0),  # unknown column
         ]
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with engine_settings.use(backend=backend_name):
                 for predicate in cases:
                     serial = _mask_outcome(mixed, predicate)
-                    with parallel.use_workers(4):
+                    with engine_settings.use(workers=4):
                         assert _mask_outcome(mixed, predicate) == serial

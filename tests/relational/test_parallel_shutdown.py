@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.relational import kernels, parallel
 from repro.relational.errors import WorkerPoolError
 
@@ -31,8 +32,6 @@ NUMPY_ONLY = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _reset():
     yield
-    parallel.set_morsel_timeout(None)
-    parallel.set_workers(None)
     parallel.shutdown_pools()
 
 
@@ -54,7 +53,7 @@ def _sleepy(arrays, payload, task):
 
 class TestShutdownIdempotency:
     def test_double_shutdown_is_a_noop(self):
-        with kernels.use_backend("python"), parallel.use_workers(2):
+        with settings.use(backend="python", workers=2):
             assert parallel.morsel_map(_echo, [1, 2, 3]) == [2, 4, 6]
         assert parallel.active_pools()
         parallel.shutdown_pools()
@@ -64,7 +63,7 @@ class TestShutdownIdempotency:
 
     @NUMPY_ONLY
     def test_shutdown_survives_a_killed_worker(self):
-        with kernels.use_backend("numpy"), parallel.use_workers(2):
+        with settings.use(backend="numpy", workers=2):
             assert parallel.morsel_map(_echo, [1, 2]) == [2, 4]
             pool = parallel._pools[("process", 2)]
             victim = pool._pool[0].pid
@@ -80,13 +79,13 @@ class TestShutdownIdempotency:
         script = textwrap.dedent(
             """
             import os, signal, time
-            from repro.relational import kernels, parallel
+            from repro import settings
+            from repro.relational import parallel
 
             def echo(arrays, payload, task):
                 return task
 
-            kernels.set_backend("numpy")
-            parallel.set_workers(2)
+            settings.set(backend="numpy", workers=2)
             assert parallel.morsel_map(echo, [1, 2]) == [1, 2]
             pool = parallel._pools[("process", 2)]
             os.kill(pool._pool[0].pid, signal.SIGKILL)
@@ -111,8 +110,8 @@ class TestShutdownIdempotency:
 class TestWorkerCrashWatchdog:
     @NUMPY_ONLY
     def test_killed_worker_raises_worker_pool_error(self):
-        with kernels.use_backend("numpy"), parallel.use_workers(2):
-            with parallel.use_morsel_timeout(2.0):
+        with settings.use(backend="numpy", workers=2):
+            with settings.use(morsel_timeout=2.0):
                 with pytest.raises(WorkerPoolError, match="worker crash"):
                     parallel.morsel_map(
                         _suicide, ["die"] + ["live"] * 7
@@ -123,14 +122,14 @@ class TestWorkerCrashWatchdog:
             assert parallel.morsel_map(_echo, [1, 2]) == [2, 4]
 
     def test_thread_map_timeout_raises(self):
-        with kernels.use_backend("python"), parallel.use_workers(2):
-            with parallel.use_morsel_timeout(0.1):
+        with settings.use(backend="python", workers=2):
+            with settings.use(morsel_timeout=0.1):
                 with pytest.raises(WorkerPoolError, match="thread"):
                     parallel.morsel_map(_sleepy, ["a", "b"])
 
     def test_per_call_timeout_overrides_module_default(self):
-        with kernels.use_backend("python"), parallel.use_workers(2):
-            with parallel.use_morsel_timeout(0.01):
+        with settings.use(backend="python", workers=2):
+            with settings.use(morsel_timeout=0.01):
                 # A generous per-call timeout wins over the tight default.
                 assert parallel.morsel_map(
                     _echo, [1, 2, 3], timeout=30.0
@@ -138,10 +137,10 @@ class TestWorkerCrashWatchdog:
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError, match="morsel timeout must be a positive"):
-            parallel.set_morsel_timeout(0)
+            settings.set(morsel_timeout=0)
         with pytest.raises(ValueError, match="morsel timeout must be a positive"):
-            parallel.set_morsel_timeout("soon")
+            settings.set(morsel_timeout="soon")
 
     def test_serial_path_ignores_timeout(self):
-        with parallel.use_workers(0), parallel.use_morsel_timeout(0.001):
+        with settings.use(workers=0, morsel_timeout=0.001):
             assert parallel.morsel_map(_sleepy, ["x"]) == ["x"]

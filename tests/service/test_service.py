@@ -451,8 +451,6 @@ class TestConfigValidation:
             )
         with pytest.raises(ValueError, match="sync must be 'batch' or 'none'"):
             ServiceConfig(state_dir=tmp_path, sync="maybe")
-        with pytest.raises(ValueError, match="morsel_timeout must be a positive"):
-            ServiceConfig(state_dir=tmp_path, morsel_timeout=-1)
 
     def test_tenant_spec_validates_id(self):
         with pytest.raises(ValueError, match="tenant_id"):

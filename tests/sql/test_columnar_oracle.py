@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import kernels, parallel
+from repro import settings as engine_settings
+from repro.relational import kernels
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.sql import ast
@@ -213,7 +214,7 @@ def queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(relation=relations(), query=queries())
 def test_columnar_equals_rowdict(backend, relation, query):
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         columnar = _run(relation, query, engine="columnar")
         oracle = _run(relation, query, engine="rowdict")
     assert columnar.columns == oracle.columns
@@ -289,7 +290,7 @@ def test_join_columnar_equals_rowdict(backend, relations_pair, query):
     catalog = Catalog()
     catalog.add_relation(left)
     catalog.add_relation(right)
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         columnar = execute(catalog, ast_to_result(query), engine="columnar")
         oracle = execute(catalog, ast_to_result(query), engine="rowdict")
     assert columnar.columns == oracle.columns
@@ -312,7 +313,7 @@ def test_columnar_equals_rowdict_parallel(relation, query):
     saved = expr._PARALLEL_ROW_FLOOR
     expr._PARALLEL_ROW_FLOOR = 2  # force the chunked mask path
     try:
-        with parallel.use_workers(4):
+        with engine_settings.use(workers=4):
             columnar = _run(relation, query, engine="columnar")
             oracle = _run(relation, query, engine="rowdict")
     finally:
@@ -333,7 +334,7 @@ def test_division_errors_equal_across_engines(backend):
         "r", {"A": [4, 6, 8], "B": [2, 0, 0]}
     )
     sql = "SELECT A FROM r WHERE A / B > 1"
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         errors = {}
         for engine in ("columnar", "rowdict"):
             with pytest.raises(SqlExecutionError) as info:
@@ -371,7 +372,7 @@ def test_sql_text_both_engines(backend):
         "SELECT city FROM places WHERE zip NOT IN (100, 300)",
         "SELECT city FROM places ORDER BY city LIMIT 2 OFFSET 1",
     ]
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         for sql in statements:
             columnar = execute_on_relation(relation, sql)
             oracle = execute_on_relation(relation, sql, engine="rowdict")
@@ -408,7 +409,7 @@ def test_join_sql_text_both_engines(backend):
         "SELECT o.oid, c.name FROM orders o "
         "JOIN customers AS c ON o.cid = c.cid WHERE o.total >= 5",
     ]
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         for sql in statements:
             columnar = execute(catalog, sql)
             oracle = execute(catalog, sql, engine="rowdict")
@@ -419,7 +420,7 @@ def test_join_sql_text_both_engines(backend):
 def test_null_rows_never_satisfy_equality_but_match_is_null():
     relation = Relation.from_columns("r", {"A": ["x", None, "y", None]})
     for backend in BACKENDS:
-        with kernels.use_backend(backend):
+        with engine_settings.use(backend=backend):
             hit = execute_on_relation(relation, "SELECT COUNT(*) FROM r WHERE A = 'x'")
             assert hit.scalar == 1
             null = execute_on_relation(

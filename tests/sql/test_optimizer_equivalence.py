@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
 from repro.relational import kernels, parallel
 from repro.relational.catalog import Catalog
 from repro.relational.errors import ReproError
@@ -50,7 +51,7 @@ def _outcome(run):
 @settings(max_examples=120, deadline=None)
 @given(relation=relations(), query=queries(), engine=st.sampled_from(ENGINES))
 def test_single_table_equivalence(backend, relation, query, engine):
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         optimized = _outcome(lambda: _run(relation, query, engine, optimize="on"))
         oracle = _outcome(lambda: _run(relation, query, engine, optimize="off"))
     assert optimized == oracle
@@ -101,7 +102,7 @@ def test_error_message_equivalence(backend, relation, where, engine):
         where=where,
         order_by=(ast.OrderItem(ast.ColumnRef("I1"), descending=False),),
     )
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         optimized = _outcome(lambda: _run(relation, query, engine, optimize="on"))
         oracle = _outcome(lambda: _run(relation, query, engine, optimize="off"))
     assert optimized == oracle
@@ -120,7 +121,7 @@ def test_join_equivalence(backend, relations_pair, query, engine):
     catalog.add_relation(left)
     catalog.add_relation(right)
     sql = to_sql(plan_query(query))
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         optimized = _outcome(lambda: execute(catalog, sql, engine, optimize="on"))
         oracle = _outcome(lambda: execute(catalog, sql, engine, optimize="off"))
     assert optimized == oracle
@@ -135,7 +136,7 @@ def test_parallel_equivalence(relation, query):
     saved = expr._PARALLEL_ROW_FLOOR
     expr._PARALLEL_ROW_FLOOR = 2  # force the chunked mask path
     try:
-        with parallel.use_workers(4):
+        with engine_settings.use(workers=4):
             optimized = _outcome(
                 lambda: _run(relation, query, "columnar", optimize="on")
             )
@@ -183,7 +184,7 @@ def test_join_reorder_equivalence(backend, engine):
         "JOIN dim2 ON fact.k2 = dim2.d2 "
         "WHERE fact.v >= 5 ORDER BY fact.v"
     )
-    with kernels.use_backend(backend):
+    with engine_settings.use(backend=backend):
         optimized = execute(catalog, sql, engine, optimize="on")
         oracle = execute(catalog, sql, engine, optimize="off")
     assert optimized.columns == oracle.columns

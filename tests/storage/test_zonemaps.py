@@ -13,11 +13,11 @@ import json
 
 import pytest
 
-from repro.relational import kernels, parallel
+from repro import settings
+from repro.relational import kernels
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
 from repro.sql.database import Database
-from repro.sql.optimize import use_optimize
 from repro.storage.format import StoreFormatError, StoreManifest
 from repro.storage.reader import open_store
 from repro.storage.sqlbridge import (
@@ -121,7 +121,7 @@ class TestZoneContent:
 class TestSkipping:
     def test_range_query_skips_refuted_chunks(self, backend, store):
         stats = ScanStats()
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             scan = scan_store(
                 store, where="a >= 250 AND a < 260", stats=stats
             )
@@ -131,16 +131,16 @@ class TestSkipping:
 
     def test_member_refutation_skips_everything(self, backend, store):
         stats = ScanStats()
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             scan = scan_store(store, where="b = 'zzz'", stats=stats)
         assert scan.num_rows == 0
         assert stats.chunks_skipped == 10
 
     def test_optimize_off_is_the_oracle(self, backend, store):
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             on_stats, off_stats = ScanStats(), ScanStats()
             on = scan_store(store, where="a >= 250 AND a < 260", stats=on_stats)
-            with use_optimize("off"):
+            with settings.use(optimize="off"):
                 off = scan_store(
                     store, where="a >= 250 AND a < 260", stats=off_stats
                 )
@@ -151,12 +151,12 @@ class TestSkipping:
     def test_may_raise_conjunct_blocks_skip(self, backend, store):
         """``b > 5`` raises on every chunk; a refuting conjunct *after*
         it must not skip the chunk (the error is reachable)."""
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             stats = ScanStats()
             with pytest.raises(ReproError) as optimized:
                 scan_store(store, where="b > 5 AND a < 0", stats=stats)
             assert stats.chunks_skipped == 0
-            with use_optimize("off"), pytest.raises(ReproError) as oracle:
+            with settings.use(optimize="off"), pytest.raises(ReproError) as oracle:
                 scan_store(store, where="b > 5 AND a < 0")
         assert str(optimized.value) == str(oracle.value)
 
@@ -165,16 +165,16 @@ class TestSkipping:
     ):
         """``a < 0`` refutes every chunk first, so ``b > 5`` can never
         raise — all chunks skip, exactly as the oracle returns no rows."""
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             stats = ScanStats()
             scan = scan_store(store, where="a < 0 AND b > 5", stats=stats)
-            with use_optimize("off"):
+            with settings.use(optimize="off"):
                 oracle = scan_store(store, where="a < 0 AND b > 5")
         assert stats.chunks_skipped == 10
         assert list(scan.rows()) == list(oracle.rows()) == []
 
     def test_null_aware_refutation(self, backend, store):
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             stats = ScanStats()
             scan = scan_store(store, where="a IS NULL", stats=stats)
         assert scan.num_rows == 0
@@ -182,15 +182,15 @@ class TestSkipping:
 
     def test_parallel_fan_out_matches_serial(self, backend, store):
         where = "a >= 150 AND a < 450"
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             serial = scan_store(store, where=where)
-            with parallel.use_workers(4):
+            with settings.use(workers=4):
                 fanned = scan_store(store, where=where)
         assert list(fanned.rows()) == list(serial.rows())
         assert fanned.attribute_names == serial.attribute_names
 
     def test_count_skippable_chunks_matches_scan(self, backend, store):
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             dry = count_skippable_chunks(store, "a >= 250 AND a < 260")
             live = ScanStats()
             scan_store(store, where="a >= 250 AND a < 260", stats=live)
@@ -289,9 +289,9 @@ class TestQueryStoreEquivalence:
         ],
     )
     def test_on_off_identical(self, backend, store, sql):
-        with kernels.use_backend(backend):
+        with settings.use(backend=backend):
             on = query_store(store, sql)
-            with use_optimize("off"):
+            with settings.use(optimize="off"):
                 off = query_store(store, sql)
         assert on.columns == off.columns
         assert on.rows == off.rows
